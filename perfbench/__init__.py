@@ -1,0 +1,1 @@
+"""Flood benchmark: end-to-end and per-layer metrics (see README.md)."""
