@@ -21,6 +21,7 @@ SO — the implementation-agnostic metric — is unaffected).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class ScanStats:
 class ColumnStore:
     """Columnar storage of an (n, d) matrix in a fixed physical order."""
 
-    def __init__(self, data: np.ndarray, with_cumsum: bool = True):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("data must be (n, d)")
@@ -48,139 +49,78 @@ class ColumnStore:
         # column-major storage: one contiguous array per attribute
         self.cols = [np.ascontiguousarray(data[:, j]) for j in range(self.d)]
         # prefix sums for O(1) SUM over exact ranges; cumcount is implicit
-        self._cums = (
-            [np.concatenate(([0.0], np.cumsum(c))) for c in self.cols]
-            if with_cumsum
-            else None
-        )
+        self._cums = [np.concatenate(([0.0], np.cumsum(c))) for c in self.cols]
 
     def matrix(self) -> np.ndarray:
         """Dense (n, d) view of the stored order (tests / rebuilds)."""
         return np.column_stack(self.cols)
 
-    def scan(self, ranges: list[tuple[int, int, bool]], q: Query) -> ScanStats:
-        """Scan physical ``[start, end)`` ranges; ``exact=True`` ranges skip
+    def scan(self, ranges, q: Query) -> ScanStats:
+        """Scan physical ``[start, end)`` ranges; ``exact`` ranges skip
         filter checks (§7.1). Returns the aggregate and counters.
+
+        ``ranges`` is anything ``np.asarray`` turns into (k, 3) integer rows
+        ``(start, end, exact)``: an array or a list of tuples. Empty and
+        inverted ranges scan nothing. Exact ranges are answered from their
+        endpoints (prefix sums); the points of the others are gathered in
+        one pass and checked against every filter.
 
         The timer covers only this function: indexes time their own
         projection/refinement and report it separately (Table 2's IT).
         """
-        import time
-
         t0 = time.perf_counter()
-        fdims = q.filtered_dims
-        bounds = q.ranges
-        total = 0.0
-        n_scanned = 0
-        n_matched = 0
-        n_exact = 0
+        r = np.asarray(ranges, dtype=np.int64).reshape(-1, 3)
+        r = r[r[:, 1] > r[:, 0]]
+        exact = r[:, 2] != 0
         want_sum = q.agg == AGG_SUM
-        agg_col = self.cols[q.agg_dim] if want_sum else None
-        # Split once; both paths below are batched across ranges so that
-        # per-range overhead stays O(1) numpy calls total, not per range —
-        # many small ranges (fine grids, refined cells) must stay cheap.
-        ex_s, ex_e, in_s, in_e = [], [], [], []
-        for start, end, exact in ranges:
-            if end <= start:
-                continue
-            (ex_s if exact else in_s).append(start)
-            (ex_e if exact else in_e).append(end)
-        if ex_s:
-            s_arr = np.asarray(ex_s, dtype=np.int64)
-            e_arr = np.asarray(ex_e, dtype=np.int64)
-            m = int((e_arr - s_arr).sum())
-            n_scanned += m
-            n_exact += m
-            n_matched += m
-            if want_sum:
-                if self._cums is not None:
-                    cs = self._cums[q.agg_dim]
-                    total += float((cs[e_arr] - cs[s_arr]).sum())
-                else:
-                    total += float(
-                        sum(agg_col[s:e].sum() for s, e in zip(ex_s, ex_e))
-                    )
-            else:
-                total += m
-        if in_s:
-            if len(in_s) == 1:
-                idx = slice(in_s[0], in_e[0])
-                m = in_e[0] - in_s[0]
-            else:
-                idx = np.concatenate(
-                    [np.arange(s, e) for s, e in zip(in_s, in_e)]
-                )
-                m = idx.size
-            n_scanned += m
+
+        s, e = r[exact, 0], r[exact, 1]
+        n_exact = int((e - s).sum())
+        if want_sum:
+            cs = self._cums[q.agg_dim]
+            total = float((cs[e] - cs[s]).sum())
+        else:
+            total = float(n_exact)
+
+        s, e = r[~exact, 0], r[~exact, 1]
+        lens = e - s
+        m = int(lens.sum())
+        k = 0
+        if m:
+            if s.size == 1:
+                idx = slice(int(s[0]), int(e[0]))
+            else:  # all positions, as a running sum: +1 within a range and
+                # a jump from each range's end to the next one's start
+                idx = np.ones(m, dtype=np.int64)
+                idx[0] = s[0]
+                idx[np.cumsum(lens[:-1])] = s[1:] - e[:-1] + 1
+                np.cumsum(idx, out=idx)
             mask = None
-            for dim in fdims:
+            for dim in q.filtered_dims:
                 col = self.cols[dim][idx]
-                lo, hi = bounds[dim]
+                lo, hi = q.ranges[dim]
                 cond = (col >= lo) & (col <= hi)
                 mask = cond if mask is None else (mask & cond)
-            if mask is None:
-                k = m
-                if want_sum:
-                    total += float(agg_col[idx].sum())
-            else:
-                k = int(mask.sum())
-                if want_sum and k:
-                    total += float(agg_col[idx][mask].sum())
-            n_matched += k
+            k = m if mask is None else int(mask.sum())
             if not want_sum:
                 total += k
+            elif k:
+                vals = self.cols[q.agg_dim][idx]
+                total += float((vals if mask is None else vals[mask]).sum())
         return ScanStats(
             value=total,
-            n_scanned=n_scanned,
-            n_matched=n_matched,
+            n_scanned=n_exact + m,
+            n_matched=n_exact + k,
             n_exact=n_exact,
             scan_time=time.perf_counter() - t0,
         )
 
     def scan_gather(self, idx: np.ndarray, exact_mask: np.ndarray,
                     q: Query) -> ScanStats:
-        """Scan an explicit physical-position array (the vectorized twin of
-        :meth:`scan`, used by Flood's batched refinement).
+        """:meth:`scan` over explicit positions, each a one-point range.
 
-        ``exact_mask`` marks positions known to match without checking
-        (§7.1's exact ranges, per point). Fully vectorized: one gather +
-        one filter pass regardless of how many cells contributed.
+        No index calls it; it stays because ``perfbench/trace.py`` patches
+        it by name.
         """
-        import time
-
-        t0 = time.perf_counter()
-        want_sum = q.agg == AGG_SUM
-        n_scanned = int(idx.size)
-        n_exact = int(exact_mask.sum())
-        total = 0.0
-        n_matched = n_exact
-        if want_sum and n_exact:
-            total += float(self.cols[q.agg_dim][idx[exact_mask]].sum())
-        elif not want_sum:
-            total += n_exact
-        rest = idx[~exact_mask] if n_exact else idx
-        if rest.size:
-            mask = None
-            for dim in q.filtered_dims:
-                col = self.cols[dim][rest]
-                lo, hi = q.ranges[dim]
-                cond = (col >= lo) & (col <= hi)
-                mask = cond if mask is None else (mask & cond)
-            if mask is None:
-                k = int(rest.size)
-                if want_sum:
-                    total += float(self.cols[q.agg_dim][rest].sum())
-            else:
-                k = int(mask.sum())
-                if want_sum and k:
-                    total += float(self.cols[q.agg_dim][rest[mask]].sum())
-            n_matched += k
-            if not want_sum:
-                total += k
-        return ScanStats(
-            value=total,
-            n_scanned=n_scanned,
-            n_matched=n_matched,
-            n_exact=n_exact,
-            scan_time=time.perf_counter() - t0,
-        )
+        idx = np.asarray(idx, dtype=np.int64)
+        return self.scan(np.column_stack((idx, idx + 1, exact_mask)), q)

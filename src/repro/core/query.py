@@ -32,6 +32,8 @@ class Query:
         object.__setattr__(self, "ranges", np.asarray(self.ranges, dtype=np.float64))
         if self.ranges.ndim != 2 or self.ranges.shape[1] != 2:
             raise ValueError(f"ranges must be (d, 2), got {self.ranges.shape}")
+        if np.isnan(self.ranges).any():
+            raise ValueError("query bounds must not be NaN")
         if self.agg not in (AGG_COUNT, AGG_SUM):
             raise ValueError(f"unknown agg {self.agg!r}")
 

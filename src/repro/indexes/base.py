@@ -37,10 +37,18 @@ class BaseIndex:
     # -- build ---------------------------------------------------------------
     def build(self, data: np.ndarray, workload: list[Query] | None = None) -> "BaseIndex":
         """Lay out ``data`` (n, d); ``workload`` lets workload-aware indexes
-        (Flood, Clustered, Z-order dim ordering) tune themselves."""
+        (Flood, Clustered, Z-order dim ordering) tune themselves.
+
+        Every value must be finite: a NaN or ±inf anywhere raises
+        ``ValueError`` naming its column (see DESIGN.md, "Non-finite
+        input")."""
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("data must be (n, d)")
+        if not np.isfinite(data).all():
+            col = int(np.argmin(np.isfinite(data).all(axis=0)))
+            raise ValueError(f"column {col} holds NaN or ±inf; indexes accept "
+                             "finite values only")
         self.n, self.d = data.shape
         t0 = time.perf_counter()
         self._build(data, workload or [])
@@ -71,7 +79,8 @@ class BaseIndex:
         )
 
     def _ranges(self, q: Query) -> tuple[list[tuple[int, int, bool]], int]:
-        """Physical (start, end, exact) ranges to scan, plus visited cell count."""
+        """Physical (start, end, exact) ranges to scan, as anything
+        :meth:`ColumnStore.scan` accepts, plus visited cell count."""
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------------

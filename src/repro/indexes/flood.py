@@ -9,9 +9,15 @@ in depth-first (row-major) order over the grid — exactly Fig 2.
 
 Query flow (§3.2): *projection* intersects the query hyper-rectangle with
 the grid and turns cells into physical ranges via the cell table;
-*refinement* shrinks each range with the cell's δ-bounded PLM over the
-sort dimension (§5.2); *scan* executes on the column store, with ranges
-proven exact skipping per-point checks (§7.1).
+*refinement* shrinks every visited cell's range to the query's bounds on
+the sort dimension with one lockstep binary search across all those cells
+(§5.2, §8); *scan* executes on the column store, with ranges proven exact
+skipping per-point checks (§7.1).
+
+The δ-bounded per-cell PLMs of §5.2 are built and counted in the index
+size (§7.4, §7.8) but not read by queries: under numpy, one vectorized
+search over all visited cells beats a learned lookup per cell, which
+costs interpreter calls per cell.
 
 Phase timings and per-query statistics are exposed in
 ``QueryResult.extra`` — they are the features/targets of the cost model
@@ -20,7 +26,7 @@ Phase timings and per-query statistics are exposed in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +35,13 @@ from repro.core.plm import PLM
 from repro.core.query import Query, QueryResult
 from repro.core.rmi import RMI
 from repro.indexes.base import BaseIndex, selectivity_order
+
+#: PLM error bound δ, in positions (§5.2)
+PLM_DELTA = 50.0
+#: cells with fewer points than this get no PLM
+PLM_MIN_CELL = 32
+#: keys each grid dimension's flattening RMI is fitted on (a uniform sample)
+RMI_SAMPLE = 200_000
 
 
 @dataclass
@@ -76,27 +89,15 @@ def default_layout(data: np.ndarray, workload: list[Query],
 class FloodIndex(BaseIndex):
     name = "flood"
 
-    def __init__(self, layout: Layout | None = None, delta: float = 50.0,
-                 use_plm: bool = True, refine_with_plm: bool = False,
-                 plm_min_cell: int = 32, rmi_sample: int = 200_000):
+    def __init__(self, layout: Layout | None = None):
         super().__init__()
         self.layout = layout
-        self.delta = delta
-        self.use_plm = use_plm
-        # The PLM is the paper's fast per-cell lookup for a C++ store
-        # (§5.2); under numpy a single vectorized searchsorted on the
-        # cell's slice beats the PLM's multiple interpreter-level calls,
-        # so the hot path defaults to binary search and the PLM remains
-        # available (and always built/size-accounted when use_plm=True)
-        # for the §7.8-style model comparisons.
-        self.refine_with_plm = refine_with_plm
-        self.plm_min_cell = plm_min_cell
-        #: above this many visited cells, refinement switches to the
-        #: vectorized reduceat path (no per-cell interpreter overhead)
-        self.batch_refine_cells = 128
-        self.rmi_sample = rmi_sample
         self.cdfs: dict[int, RMI] = {}
         self.cell_starts: np.ndarray | None = None
+        # Per-cell PLMs over the sort dimension (§5.2): built and counted in
+        # index_size_bytes (§7.4), never read by queries — ``_refine``'s one
+        # search over all visited cells is cheaper under numpy than a PLM
+        # lookup per cell (module docstring).
         self.plms: dict[int, PLM] = {}
         self._mins: np.ndarray | None = None
         self._spans: np.ndarray | None = None
@@ -115,8 +116,8 @@ class FloodIndex(BaseIndex):
             rng = np.random.default_rng(0)
             for dim in L.grid_dims:
                 col = data[:, dim]
-                if n > self.rmi_sample:
-                    col = rng.choice(col, self.rmi_sample, replace=False)
+                if n > RMI_SAMPLE:
+                    col = rng.choice(col, RMI_SAMPLE, replace=False)
                 self.cdfs[dim] = RMI(col)
         cell_ids = self._cell_ids(data)
         order = np.lexsort((data[:, L.sort_dim], cell_ids))
@@ -127,21 +128,19 @@ class FloodIndex(BaseIndex):
             sorted_cells, np.arange(ncells + 1, dtype=np.int64)
         )
         # Per-cell CDF models over the sort dimension (§5.2). Cells smaller
-        # than plm_min_cell use direct binary search — a PLM there costs
-        # more space than it saves time.
+        # than PLM_MIN_CELL get none: a PLM there costs more space than it
+        # would save time.
         sizes = np.diff(self.cell_starts)
         self._size_stats = (
             float(sizes.mean()),
             float(np.median(sizes)),
             float(np.quantile(sizes, 0.99)),
         )
+        sort_col = self.store.cols[L.sort_dim]
         self.plms = {}
-        if self.use_plm:
-            sort_col = self.store.cols[L.sort_dim]
-            sizes = np.diff(self.cell_starts)
-            for cid in np.where(sizes >= self.plm_min_cell)[0]:
-                s, e = self.cell_starts[cid], self.cell_starts[cid + 1]
-                self.plms[int(cid)] = PLM(sort_col[s:e], delta=self.delta)
+        for cid in np.flatnonzero(sizes >= PLM_MIN_CELL):
+            s, e = self.cell_starts[cid], self.cell_starts[cid + 1]
+            self.plms[int(cid)] = PLM(sort_col[s:e], delta=PLM_DELTA)
 
     def _flat_u(self, dim: int, v: np.ndarray) -> np.ndarray:
         """Map values to [0, 1]: CDF when flattening, min-max otherwise."""
@@ -173,37 +172,16 @@ class FloodIndex(BaseIndex):
             raise RuntimeError("query() before build()")
         L = self.layout
         t0 = time.perf_counter()
-        cells, col_ranges, interior_ok = self._project(q)
+        cells, interior_ok = self._project(q)
         t_proj = time.perf_counter() - t0
 
         sort_filtered = q.filters(L.sort_dim)
         t0 = time.perf_counter()
-        # Queries that visit many cells use the batched (reduceat) refine +
-        # gather scan — O(points in visited cells) of vectorized work with
-        # no per-cell interpreter cost; small projections use the per-cell
-        # path whose range list the store scans directly.
-        gather = None
-        if sort_filtered and cells.size > self.batch_refine_cells:
-            # crossover: per-cell loop is ~O(cells) interpreter work,
-            # batched is ~O(points in visited cells) vectorized work
-            pts = int(
-                (self.cell_starts[cells + 1] - self.cell_starts[cells]).sum()
-            )
-            if cells.size * 2.5e-6 > pts * 1.2e-8:
-                gather = self._refine_batched(q, cells, interior_ok)
-        if gather is None:
-            ranges = self._refine(q, cells, interior_ok, sort_filtered)
+        ranges = self._refine(q, cells, interior_ok, sort_filtered)
         t_ref = time.perf_counter() - t0
 
-        if gather is not None:
-            stats = self.store.scan_gather(gather[0], gather[1], q)
-            avg_run = gather[0].size / max(1, cells.size)
-        else:
-            stats = self.store.scan(ranges, q)
-            avg_run = float(
-                np.mean([e - s for s, e, _ in ranges]) if ranges else 0.0
-            )
-        n_cells = int(cells.size)
+        stats = self.store.scan(ranges, q)
+        avg_run = float((ranges[:, 1] - ranges[:, 0]).mean()) if len(ranges) else 0.0
         mean_sz, med_sz, p99_sz = self._size_stats
         return QueryResult(
             value=stats.value,
@@ -211,7 +189,7 @@ class FloodIndex(BaseIndex):
             n_scanned=stats.n_scanned,
             index_time=t_proj + t_ref,
             scan_time=stats.scan_time,
-            n_cells=n_cells,
+            n_cells=int(cells.size),
             n_exact=stats.n_exact,
             extra={
                 "proj_time": t_proj,
@@ -226,15 +204,11 @@ class FloodIndex(BaseIndex):
             },
         )
 
-    def _ranges(self, q: Query):  # BaseIndex hook (used by generic tests)
-        cells, _, interior_ok = self._project(q)
-        return self._refine(q, cells, interior_ok, q.filters(self.layout.sort_dim)), int(cells.size)
-
     def _project(self, q: Query):
         """Intersect the query rectangle with the grid (§3.2.1).
 
-        Returns (cell ids visited, per-dim column ranges, per-cell bool:
-        all grid-dim filters fully satisfied — candidate for exactness).
+        Returns (cell ids visited in ascending order, per-cell bool: all
+        grid-dim filters fully satisfied — candidate for exactness).
         """
         L = self.layout
         col_ranges: list[tuple[int, int]] = []
@@ -242,6 +216,8 @@ class FloodIndex(BaseIndex):
         for dim, c in zip(L.grid_dims, L.cols):
             if q.filters(dim):
                 lo, hi = q.ranges[dim]
+                if lo > hi:  # matches nothing; below, an infinite bound is open
+                    return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
                 clo = int(self._col_of(dim, c, max(lo, -1e300))[0]) if np.isfinite(lo) else 0
                 chi = int(self._col_of(dim, c, min(hi, 1e300))[0]) if np.isfinite(hi) else c - 1
                 cols = np.arange(clo, chi + 1)
@@ -291,100 +267,52 @@ class FloodIndex(BaseIndex):
             for a in iarrs[1:]:
                 iacc = (iacc[:, None] & a[None, :]).ravel()
             interior_ok = iacc
-        return cells, col_ranges, interior_ok
+        return cells, interior_ok
 
-    def _refine_batched(self, q: Query, cells: np.ndarray,
-                        interior_ok: np.ndarray):
-        """Vectorized refinement over all visited cells at once.
+    def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
+                sort_filtered: bool) -> np.ndarray:
+        """Refinement (§3.2.2, §5.2): the visited cells' physical ranges as
+        a (k, 3) int64 array of ``[start, end, exact]`` rows.
 
-        Within each cell the sort column is sorted, so the refined start
-        of cell k is ``start_k + #\\{v < a\\}`` — computed for every cell in
-        one ``np.add.reduceat`` over the gathered segments. Returns
-        (physical positions to scan, per-position exactness) or None when
-        the visited cells are empty.
+        Points of a cell are sorted by the sort dimension, so a filter
+        [a, b] on it narrows the cell to [first point >= a, first point
+        > b). All visited cells are refined at once (§8): one lockstep
+        binary search runs both bounds of every cell together, one gather
+        from the sort column per step, ~log2(largest cell) steps. Without
+        a sort-dimension filter, physically contiguous cells with the same
+        exactness merge into one range instead.
         """
-        L = self.layout
-        a, b = q.ranges[L.sort_dim]
         starts = self.cell_starts[cells]
         ends = self.cell_starts[cells + 1]
         keep = ends > starts
-        if not keep.any():
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        starts, ends = starts[keep], ends[keep]
-        inner = interior_ok[keep]
-        lens = ends - starts
-        total = int(lens.sum())
-        offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        # gather positions: base + within-cell rank, fully vectorized
-        rank = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
-        idx = np.repeat(starts, lens) + rank
-        seg = self.store.cols[L.sort_dim][idx]
-        if np.isfinite(a):
-            cnt_a = np.add.reduceat((seg < a).astype(np.int64), offsets)
-        else:
-            cnt_a = np.zeros(lens.size, dtype=np.int64)
-        if np.isfinite(b):
-            cnt_b = np.add.reduceat((seg <= b).astype(np.int64), offsets)
-        else:
-            cnt_b = lens
-        sel = (rank >= np.repeat(cnt_a, lens)) & (rank < np.repeat(cnt_b, lens))
-        # refinement makes the sort dim exact; the grid dims must be
-        # interior for a point to skip filter checks entirely
-        exact_pp = np.repeat(inner, lens)[sel]
-        return idx[sel], exact_pp
-
-    def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
-                sort_filtered: bool):
-        """Per-cell range refinement over the sort dimension (§3.2.2/§5.2),
-        plus merging of physically-contiguous unrefined cells."""
-        L = self.layout
-        starts = self.cell_starts[cells]
-        ends = self.cell_starts[cells + 1]
-        ranges: list[tuple[int, int, bool]] = []
+        starts, ends, exact = starts[keep], ends[keep], interior_ok[keep]
         if sort_filtered:
-            a, b = q.ranges[L.sort_dim]
-            has_a, has_b = bool(np.isfinite(a)), bool(np.isfinite(b))
-            sort_col = self.store.cols[L.sort_dim]
-            search = np.searchsorted
-            use_plm_lookup = self.refine_with_plm and self.plms
-            plm_get = self.plms.get
-            for cid, s, e, inner in zip(
-                cells.tolist(), starts.tolist(), ends.tolist(), interior_ok.tolist()
-            ):
-                if e <= s:
-                    continue
-                plm = plm_get(cid) if use_plm_lookup else None
-                if plm is not None:
-                    i1 = s + (plm.lookup_left(a) if has_a else 0)
-                    i2 = s + (plm.lookup_right(b) if has_b else (e - s))
-                else:
-                    seg = sort_col[s:e]
-                    i1 = s + search(seg, a, "left") if has_a else s
-                    i2 = s + search(seg, b, "right") if has_b else e
-                if i2 > i1:
-                    # refinement makes the sort dim exact; grid dims must be
-                    # interior for the whole range to be exact
-                    ranges.append((i1, i2, inner))
-        else:
-            # No refinement: merge runs of physically contiguous cells.
-            order = np.argsort(starts, kind="stable")
-            s_l, e_l, i_l = starts.tolist(), ends.tolist(), interior_ok.tolist()
-            cur_s = cur_e = None
-            cur_exact = True
-            for k in order.tolist():
-                s, e, inner = s_l[k], e_l[k], i_l[k]
-                if e <= s:
-                    continue
-                if cur_s is None:
-                    cur_s, cur_e, cur_exact = s, e, inner
-                elif s == cur_e and inner == cur_exact:
-                    cur_e = e
-                else:
-                    ranges.append((cur_s, cur_e, cur_exact))
-                    cur_s, cur_e, cur_exact = s, e, inner
-            if cur_s is not None:
-                ranges.append((cur_s, cur_e, cur_exact))
-        return ranges
+            a, b = q.ranges[self.layout.sort_dim]
+            k = starts.size
+            # for finite v: v <= b  <=>  v < nextafter(b, inf), so both bounds
+            # are searches for the first point >= probe
+            probe = np.repeat([a, np.nextafter(b, np.inf)], k)
+            last = np.concatenate((ends, ends)) - 1
+            # pos: last point known < probe (start - 1: none yet); steps of
+            # 2^j, largest first, sum to >= any cell size
+            pos = np.concatenate((starts, starts)) - 1
+            col = self.store.cols[self.layout.sort_dim]
+            for j in reversed(range(int(np.max(ends - starts, initial=0)).bit_length())):
+                cand = np.minimum(pos + (1 << j), last)
+                np.copyto(pos, cand, where=col.take(cand, mode="clip") < probe)
+            pos += 1
+            starts, ends = pos[:k], pos[k:]
+            keep = ends > starts
+            # refinement makes the sort dim exact, so a refined range is exact
+            # exactly when its cell is interior in every grid dim
+            starts, ends, exact = starts[keep], ends[keep], exact[keep]
+        elif starts.size > 1:
+            # cells come in ascending order, so contiguous ones are neighbours
+            join = (ends[:-1] == starts[1:]) & (exact[:-1] == exact[1:])
+            first = np.concatenate(([True], ~join))
+            last = np.concatenate((~join, [True]))
+            starts, ends, exact = starts[first], ends[last], exact[first]
+        return np.column_stack((starts, ends, exact))
 
     # -- introspection -------------------------------------------------------
     def index_size_bytes(self) -> int:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import AGG_SUM, Query, query_from_dict
-from repro.indexes.flood import FloodIndex, Layout, default_layout
+from repro.indexes.flood import PLM_MIN_CELL, FloodIndex, Layout, default_layout
 
 
 def make_data(kind, n=4000, d=4, seed=0):
@@ -113,6 +113,15 @@ def test_equality_filter_on_sort_dim():
     assert idx.query(q).value == (data[:, 3] == v).sum()
 
 
+@pytest.mark.parametrize("dim", [0, 3])  # a grid dim, the sort dim
+@pytest.mark.parametrize("lo, hi", [(50.0, -np.inf), (np.inf, 50.0), (60.0, 40.0)])
+def test_inverted_bounds_match_nothing(dim, lo, hi):
+    data = make_data("uniform")
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4])).build(data)
+    r = idx.query(query_from_dict(4, {dim: (lo, hi)}))
+    assert r.value == r.n_matched == r.n_scanned == 0
+
+
 def test_one_dimensional_data():
     rng = np.random.default_rng(1)
     data = rng.random((1000, 1)) * 10
@@ -123,12 +132,18 @@ def test_one_dimensional_data():
 
 
 def test_no_plm_fallback_binary_search():
+    """Cells too small for a PLM are refined like every other cell: the
+    query path never reads PLMs, so none being built changes nothing."""
     data = make_data("uniform")
-    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[4, 4, 4]), use_plm=False).build(data)
+    idx = FloodIndex(layout=Layout(order=[0, 1, 2, 3], cols=[16, 16, 4])).build(data)
+    assert np.diff(idx.cell_starts).max() < PLM_MIN_CELL and not idx.plms
     rng = np.random.default_rng(11)
     for _ in range(5):
         q = rand_query(data, rng)
         assert idx.query(q).value == q.mask(data).sum()
+    q = query_from_dict(4, {3: (20.0, 30.0)})
+    r = idx.query(q)
+    assert r.n_scanned == r.n_matched == r.n_exact == q.mask(data).sum()
 
 
 def test_default_layout_valid_and_correct():

@@ -128,3 +128,19 @@ def test_multidim_indexes_prune(built, name):
     q = query_from_dict(D, {0: (10.0, 20.0), 1: (10.0, 20.0)})
     r = indexes[name].query(q)
     assert r.n_scanned < N * 0.6, name
+
+
+@pytest.mark.parametrize("bad, col", [
+    (np.nan, 3),    # Flood's sort dimension
+    (np.nan, 0),    # a Flood grid dimension
+    (np.inf, 1),
+    (-np.inf, 2),
+])
+@pytest.mark.parametrize("name", list(_factories()))
+def test_non_finite_input_rejected(name, bad, col):
+    """NaN and ±inf are refused at build(), with the column named, rather
+    than answered wrongly (an index orders or bins by these values)."""
+    data = _data("uniform")
+    data[::100, col] = bad
+    with pytest.raises(ValueError, match=f"column {col} "):
+        _factories()[name]().build(data)

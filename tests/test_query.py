@@ -39,6 +39,12 @@ def test_bad_ranges_shape_rejected(bad):
         Query(bad)
 
 
+@pytest.mark.parametrize("bound", [(np.nan, 1.0), (0.0, np.nan)])
+def test_nan_bounds_rejected(bound):
+    with pytest.raises(ValueError, match="NaN"):
+        query_from_dict(2, {1: bound})
+
+
 def test_bad_agg_rejected():
     with pytest.raises(ValueError):
         Query(np.zeros((2, 2)), agg="avg")

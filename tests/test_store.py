@@ -62,16 +62,47 @@ def test_mixed_exact_and_filtered_ranges(data):
 
 def test_empty_and_inverted_ranges(data):
     st = ColumnStore(data)
-    q = query_from_dict(3, {0: (0, 1)})
-    s = st.scan([(10, 10, False), (50, 40, True)], q)
-    assert s.n_scanned == 0 and s.value == 0
+    for q in (query_from_dict(3, {0: (0, 1)}),
+              query_from_dict(3, {}, agg=AGG_SUM, agg_dim=2)):
+        for ranges in ([(10, 10, False), (50, 40, True)], [],
+                       np.empty((0, 3), dtype=np.int64),
+                       np.array([(10, 10, True), (900, 5, False)])):
+            s = st.scan(ranges, q)
+            assert (s.value, s.n_scanned, s.n_matched, s.n_exact) == (0, 0, 0, 0)
 
 
-def test_no_cumsum_fallback(data):
-    st = ColumnStore(data, with_cumsum=False)
-    q = query_from_dict(3, {}, agg=AGG_SUM, agg_dim=1)
-    s = st.scan([(0, 500, True)], q)
-    assert np.isclose(s.value, data[:500, 1].sum())
+RANGES = [(0, 100, True), (100, 400, False), (390, 395, False), (700, 650, False),
+          (800, 1000, True), (420, 421, False)]
+
+
+@pytest.mark.parametrize("agg", ["count", AGG_SUM])
+def test_array_and_tuple_ranges_scan_alike(data, agg):
+    st = ColumnStore(data)
+    q = query_from_dict(3, {0: (2.0, 7.0), 2: (1.0, 9.0)}, agg=agg, agg_dim=1)
+    a = st.scan(np.asarray(RANGES, dtype=np.int64), q)
+    t = st.scan(RANGES, q)
+    assert (a.value, a.n_scanned, a.n_matched, a.n_exact) == (
+        t.value, t.n_scanned, t.n_matched, t.n_exact)
+    pos = np.concatenate([np.arange(s, e) for s, e, _ in RANGES])
+    exact = np.concatenate([np.full(max(0, e - s), x) for s, e, x in RANGES])
+    m = q.mask(data[pos]) | exact
+    want = m.sum() if agg == "count" else data[pos[m], 1].sum()
+    assert np.isclose(a.value, want)
+    assert a.n_matched == m.sum() and a.n_scanned == pos.size
+    assert a.n_exact == exact.sum()
+
+
+@pytest.mark.parametrize("agg", ["count", AGG_SUM])
+def test_scan_gather_equals_scan_on_same_positions(data, agg):
+    st = ColumnStore(data)
+    q = query_from_dict(3, {1: (1.0, 6.0)}, agg=agg, agg_dim=0)
+    pos = np.concatenate([np.arange(0, 50), np.arange(300, 420), [999]])
+    exact = np.zeros(pos.size, dtype=bool)
+    exact[:50] = True
+    g = st.scan_gather(pos, exact, q)
+    s = st.scan([(0, 50, True), (300, 420, False), (999, 1000, False)], q)
+    assert np.isclose(g.value, s.value)
+    assert (g.n_scanned, g.n_matched, g.n_exact) == (s.n_scanned, s.n_matched, s.n_exact)
 
 
 def test_matrix_roundtrip(data):
