@@ -2,19 +2,21 @@
 
 Builds the TPC-H-lite lineitem at a scale factor, applies the learned
 Flood layout as a repartitionByRange + sortWithinPartitions scheme,
-runs a few range queries through the cell-skipping scan, and prints the
-skipped fraction and distributed scan-overhead per query.
+runs a few range queries through the cell-skipping scan, and prints per
+query the rows matched, the rows scanned (numpy Flood's count for the same
+grid: rows of the visited cells within the sort-dim bound) and the scan
+overhead.
 
 Usage: ``spark-submit jobs/spark_flood_layout.py [--sf 0.01]``
 """
 import argparse
 
-from pyspark.sql import SparkSession, functions as F
+from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.indexes.flood import Layout
 from repro.sparkglue.layout import apply_flood_layout, learn_boundaries
-from repro.sparkglue.scan import distributed_breakdown, flood_scan, skipped_fraction
+from repro.sparkglue.scan import scan_counts
 
 DIM_COLS = ["l_orderkey", "l_quantity", "l_discount", "l_extendedprice"]
 QUERIES = [
@@ -37,12 +39,10 @@ def main() -> None:
     n = laid.count()
     print(f"laid out {n} rows over {laid.rdd.getNumPartitions()} partitions")
     for bounds in QUERIES:
-        cnt = flood_scan(laid, sfl, bounds).agg(F.count("*")).collect()[0][0]
-        skip = skipped_fraction(laid, sfl, bounds)
-        bd = distributed_breakdown(laid, sfl, bounds)
+        scanned, matched = scan_counts(laid, sfl, bounds)
         print(f"query {bounds}")
-        print(f"  matched={cnt} skipped_frac={skip:.3f} "
-              f"SO={bd['scan_overhead']:.2f}")
+        print(f"  matched={matched} scanned={scanned} "
+              f"skipped_frac={1 - scanned / n:.3f} SO={scanned / max(1, matched):.2f}")
     spark.stop()
 
 

@@ -48,6 +48,12 @@ class Query:
             np.isfinite(self.ranges[:, 0]) | np.isfinite(self.ranges[:, 1])
         )[0]
 
+    @property
+    def empty(self) -> bool:
+        """True when a filtered dimension has lo > hi: no point matches."""
+        lo, hi = self.ranges[self.filtered_dims].T
+        return bool((lo > hi).any())
+
     def filters(self, dim: int) -> bool:
         return bool(
             np.isfinite(self.ranges[dim, 0]) or np.isfinite(self.ranges[dim, 1])

@@ -39,12 +39,14 @@ class BaseIndex:
         """Lay out ``data`` (n, d); ``workload`` lets workload-aware indexes
         (Flood, Clustered, Z-order dim ordering) tune themselves.
 
-        Every value must be finite: a NaN or ±inf anywhere raises
-        ``ValueError`` naming its column (see DESIGN.md, "Non-finite
-        input")."""
+        ``data`` must hold at least one row, and every value must be
+        finite: a NaN or ±inf anywhere raises ``ValueError`` naming its
+        column (see DESIGN.md, "Non-finite input")."""
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError("data must be (n, d)")
+        if data.shape[0] == 0:
+            raise ValueError("data has no rows; indexes need at least one")
         if not np.isfinite(data).all():
             col = int(np.argmin(np.isfinite(data).all(axis=0)))
             raise ValueError(f"column {col} holds NaN or ±inf; indexes accept "
@@ -59,13 +61,20 @@ class BaseIndex:
         raise NotImplementedError
 
     # -- query ---------------------------------------------------------------
-    def query(self, q: Query) -> QueryResult:
+    def _admit(self, q: Query) -> bool:
+        """Check ``q`` against the built index. False when ``q`` matches
+        nothing (a filtered dimension with lo > hi), so the index visits
+        nothing rather than reading a bound as open."""
         if self.store is None:
             raise RuntimeError("query() before build()")
         if q.d != self.d:
             raise ValueError(f"query dims {q.d} != index dims {self.d}")
+        return not q.empty
+
+    def query(self, q: Query) -> QueryResult:
+        admit = self._admit(q)
         t0 = time.perf_counter()
-        ranges, n_cells = self._ranges(q)
+        ranges, n_cells = self._ranges(q) if admit else ([], 0)
         index_time = time.perf_counter() - t0
         stats = self.store.scan(ranges, q)
         return QueryResult(

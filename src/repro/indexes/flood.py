@@ -5,7 +5,9 @@ d−1 form a grid with ``cols[i]`` columns each. With flattening (§5.1)
 each grid dimension's columns are equi-mass under that attribute's
 empirical CDF (an RMI per dimension); without, columns are equal-width.
 Points are stored sorted by (cell id, sort-dim value), cell ids running
-in depth-first (row-major) order over the grid — exactly Fig 2.
+in depth-first (row-major) order over the grid — exactly Fig 2. The
+:class:`Grid` holds the columns, the cell numbering and the projection;
+the Spark layer uses the same class.
 
 Query flow (§3.2): *projection* intersects the query hyper-rectangle with
 the grid and turns cells into physical ranges via the cell table;
@@ -86,21 +88,157 @@ def default_layout(data: np.ndarray, workload: list[Query],
     return Layout(order=grid + [sort_dim], cols=[c] * (d - 1), flatten=flatten)
 
 
+class Grid:
+    """Flood's grid over a layout (§3.1): which column a value falls in,
+    which cell a row falls in, and which cells a query touches.
+
+    Grid dimension i has ``cols[i] − 1`` ascending ``thresholds``; a value's
+    column is the number of thresholds <= it. Cells are numbered row-major
+    over the grid dims, the first most significant (Fig 2). The numpy index
+    and the Spark layer (``repro.sparkglue``) both lay rows out with
+    :meth:`row_cells` and project queries with :meth:`project`.
+    """
+
+    def __init__(self, layout: Layout, thresholds: dict[int, np.ndarray],
+                 cdfs: dict[int, RMI] | None = None):
+        self.layout = layout
+        #: grid dim -> (cols − 1,) ascending float64 column thresholds
+        self.thresholds = thresholds
+        #: grid dim -> flattening model; query endpoints are mapped through
+        #: it, which lands every value in its threshold column (see fit)
+        self.cdfs = cdfs or {}
+        cols = layout.cols
+        self.strides = np.ones(len(cols), dtype=np.int64)
+        for i in range(len(cols) - 2, -1, -1):
+            self.strides[i] = self.strides[i + 1] * cols[i + 1]
+
+    @classmethod
+    def fit(cls, layout: Layout, data: np.ndarray) -> "Grid":
+        """Columns of ``data`` (n, d): equi-mass under each grid dim's
+        empirical CDF when flattening (§5.1), equal-width otherwise."""
+        thresholds: dict[int, np.ndarray] = {}
+        cdfs: dict[int, RMI] = {}
+        rng = np.random.default_rng(0)
+        for dim, c in zip(layout.grid_dims, layout.cols):
+            col = data[:, dim]
+            if not layout.flatten:
+                lo, hi = col.min(), col.max()
+                thresholds[dim] = lo + (hi - lo) * np.arange(1, c) / c
+                continue
+            if col.size > RMI_SAMPLE:
+                col = rng.choice(col, RMI_SAMPLE, replace=False)
+            m = cdfs[dim] = RMI(col)
+            # v's flattened column is int((r / n) * c), r = number of keys
+            # <= v. It first reaches k at rank r_k, so column k starts at
+            # the r_k-th key (same float operations as _column's).
+            col_of_rank = (np.arange(m.n + 1) / m.n * c).astype(np.int64)
+            r = np.searchsorted(col_of_rank, np.arange(1, c))
+            thresholds[dim] = m.keys[r - 1]
+        return cls(layout, thresholds, cdfs)
+
+    def size_bytes(self) -> int:
+        """The thresholds, plus a summary of each flattening model."""
+        return int(sum(t.nbytes for t in self.thresholds.values())
+                   + sum(m.keys.nbytes // max(1, m.n // 1024) for m in self.cdfs.values()))
+
+    def row_cells(self):
+        """A function from the grid dims' value arrays (in layout order) to
+        each row's cell id. It closes over plain arrays and ints only, so
+        Spark can ship it to workers that cannot import this package."""
+        bounds = [self.thresholds[dim] for dim in self.layout.grid_dims]
+        strides = self.strides.tolist()
+
+        def cells(*columns):
+            ids = 0
+            for v, b, s in zip(columns, bounds, strides):
+                ids = ids + np.searchsorted(b, v, side="right") * s
+            return ids
+
+        return cells
+
+    def _column(self, dim: int, c: int, v: float) -> int:
+        """Column of one query endpoint along grid dim ``dim``."""
+        if dim in self.cdfs:
+            return min(int(self.cdfs[dim].cdf(v)[0] * c), c - 1)
+        return int(np.searchsorted(self.thresholds[dim], v, side="right"))
+
+    def project(self, ranges: np.ndarray):
+        """Intersect a query's (d, 2) ``[lo, hi]`` ranges with the grid
+        (§3.2.1); ±inf marks an open side.
+
+        Returns (cell ids visited in ascending order, per-cell bool: all
+        grid-dim filters fully satisfied — candidate for exactness).
+        """
+        L = self.layout
+        col_ranges: list[tuple[int, int]] = []
+        interior_masks: list[np.ndarray] = []
+        for dim, c in zip(L.grid_dims, L.cols):
+            lo, hi = ranges[dim]
+            if np.isfinite(lo) or np.isfinite(hi):
+                if lo > hi:  # matches nothing; below, an infinite bound is open
+                    return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+                clo = self._column(dim, c, lo) if np.isfinite(lo) else 0
+                chi = self._column(dim, c, hi) if np.isfinite(hi) else c - 1
+                cols = np.arange(clo, chi + 1)
+                # interior columns match the filter for sure (see §3.2.1);
+                # boundary columns need per-point checks
+                inner = (cols > clo) & (cols < chi)
+                if not np.isfinite(lo):
+                    inner |= cols < chi
+                if not np.isfinite(hi):
+                    inner |= cols > clo
+                col_ranges.append((clo, chi))
+                interior_masks.append(inner)
+            else:
+                col_ranges.append((0, c - 1))
+                interior_masks.append(np.ones(c, dtype=bool))
+        # cartesian product of column ranges → cell ids (row-major strides).
+        # Singleton dims (1 column, or an unfiltered narrow range) fold into
+        # a constant; only non-singleton dims pay an outer-sum — much
+        # cheaper than a d-way meshgrid for the common mostly-1-column case.
+        const = 0
+        arrs: list[np.ndarray] = []
+        iconst = True
+        iarrs: list[np.ndarray] = []
+        for (lo, hi), s, im in zip(col_ranges, self.strides, interior_masks):
+            if hi == lo:
+                const += lo * s
+                iconst = iconst and bool(im[0])
+            else:
+                arrs.append(np.arange(lo, hi + 1) * s)
+                iarrs.append(im)
+        if not arrs:
+            cells = np.array([const], dtype=np.int64)
+        else:
+            acc = arrs[0]
+            for a in arrs[1:]:
+                acc = (acc[:, None] + a[None, :]).ravel()
+            cells = acc + const
+        if not iconst:
+            interior_ok = np.zeros(cells.size, dtype=bool)
+        elif not iarrs:
+            interior_ok = np.ones(cells.size, dtype=bool)
+        else:
+            iacc = iarrs[0]
+            for a in iarrs[1:]:
+                iacc = (iacc[:, None] & a[None, :]).ravel()
+            interior_ok = iacc
+        return cells, interior_ok
+
+
 class FloodIndex(BaseIndex):
     name = "flood"
 
     def __init__(self, layout: Layout | None = None):
         super().__init__()
         self.layout = layout
-        self.cdfs: dict[int, RMI] = {}
+        self.grid: Grid | None = None
         self.cell_starts: np.ndarray | None = None
         # Per-cell PLMs over the sort dimension (§5.2): built and counted in
         # index_size_bytes (§7.4), never read by queries — ``_refine``'s one
         # search over all visited cells is cheaper under numpy than a PLM
         # lookup per cell (module docstring).
         self.plms: dict[int, PLM] = {}
-        self._mins: np.ndarray | None = None
-        self._spans: np.ndarray | None = None
 
     # -- build ---------------------------------------------------------------
     def _build(self, data: np.ndarray, workload: list[Query]) -> None:
@@ -110,16 +248,9 @@ class FloodIndex(BaseIndex):
         n, d = data.shape
         if len(L.order) != d:
             raise ValueError("layout order must cover all dims")
-        self._mins = data.min(axis=0)
-        self._spans = np.maximum(data.max(axis=0) - self._mins, 1e-300)
-        if L.flatten:
-            rng = np.random.default_rng(0)
-            for dim in L.grid_dims:
-                col = data[:, dim]
-                if n > RMI_SAMPLE:
-                    col = rng.choice(col, RMI_SAMPLE, replace=False)
-                self.cdfs[dim] = RMI(col)
-        cell_ids = self._cell_ids(data)
+        self.grid = Grid.fit(L, data)
+        cell_ids = np.zeros(n, dtype=np.int64)
+        cell_ids += self.grid.row_cells()(*(data[:, dim] for dim in L.grid_dims))
         order = np.lexsort((data[:, L.sort_dim], cell_ids))
         self.store = ColumnStore(data[order])
         sorted_cells = cell_ids[order]
@@ -142,37 +273,17 @@ class FloodIndex(BaseIndex):
             s, e = self.cell_starts[cid], self.cell_starts[cid + 1]
             self.plms[int(cid)] = PLM(sort_col[s:e], delta=PLM_DELTA)
 
-    def _flat_u(self, dim: int, v: np.ndarray) -> np.ndarray:
-        """Map values to [0, 1]: CDF when flattening, min-max otherwise."""
-        if self.layout.flatten and dim in self.cdfs:
-            return self.cdfs[dim].cdf(v)
-        return np.clip((np.asarray(v, dtype=np.float64) - self._mins[dim])
-                       / self._spans[dim], 0.0, 1.0)
-
-    def _col_of(self, dim: int, c: int, v: np.ndarray) -> np.ndarray:
-        """Column index of value(s) v along grid dim with c columns."""
-        u = self._flat_u(dim, np.atleast_1d(v))
-        return np.clip((u * c).astype(np.int64), 0, c - 1)
-
-    def _cell_ids(self, data: np.ndarray) -> np.ndarray:
-        L = self.layout
-        ids = np.zeros(data.shape[0], dtype=np.int64)
-        stride = 1
-        # row-major: first grid dim most significant → build from last dim up
-        for dim, c in zip(reversed(L.grid_dims), reversed(L.cols)):
-            ids += self._col_of(dim, c, data[:, dim]) * stride
-            stride *= c
-        return ids
-
     # -- query ---------------------------------------------------------------
     def query(self, q: Query) -> QueryResult:
         """Overrides BaseIndex.query to time projection/refinement separately
         (the cost model's w_p / w_r targets, §4.1.1)."""
-        if self.store is None:
-            raise RuntimeError("query() before build()")
+        admit = self._admit(q)
         L = self.layout
         t0 = time.perf_counter()
-        cells, interior_ok = self._project(q)
+        if admit:
+            cells, interior_ok = self.grid.project(q.ranges)
+        else:
+            cells, interior_ok = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         t_proj = time.perf_counter() - t0
 
         sort_filtered = q.filters(L.sort_dim)
@@ -203,71 +314,6 @@ class FloodIndex(BaseIndex):
                 "avg_run_len": avg_run,
             },
         )
-
-    def _project(self, q: Query):
-        """Intersect the query rectangle with the grid (§3.2.1).
-
-        Returns (cell ids visited in ascending order, per-cell bool: all
-        grid-dim filters fully satisfied — candidate for exactness).
-        """
-        L = self.layout
-        col_ranges: list[tuple[int, int]] = []
-        interior_masks: list[np.ndarray] = []
-        for dim, c in zip(L.grid_dims, L.cols):
-            if q.filters(dim):
-                lo, hi = q.ranges[dim]
-                if lo > hi:  # matches nothing; below, an infinite bound is open
-                    return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-                clo = int(self._col_of(dim, c, max(lo, -1e300))[0]) if np.isfinite(lo) else 0
-                chi = int(self._col_of(dim, c, min(hi, 1e300))[0]) if np.isfinite(hi) else c - 1
-                cols = np.arange(clo, chi + 1)
-                # interior columns match the filter for sure (see §3.2.1);
-                # boundary columns need per-point checks
-                inner = (cols > clo) & (cols < chi)
-                if not np.isfinite(lo):
-                    inner |= cols < chi
-                if not np.isfinite(hi):
-                    inner |= cols > clo
-                col_ranges.append((clo, chi))
-                interior_masks.append(inner)
-            else:
-                col_ranges.append((0, c - 1))
-                interior_masks.append(np.ones(c, dtype=bool))
-        # cartesian product of column ranges → cell ids (row-major strides).
-        # Singleton dims (1 column, or an unfiltered narrow range) fold into
-        # a constant; only non-singleton dims pay an outer-sum — much
-        # cheaper than a d-way meshgrid for the common mostly-1-column case.
-        strides = np.ones(len(L.cols), dtype=np.int64)
-        for i in range(len(L.cols) - 2, -1, -1):
-            strides[i] = strides[i + 1] * L.cols[i + 1]
-        const = 0
-        arrs: list[np.ndarray] = []
-        iconst = True
-        iarrs: list[np.ndarray] = []
-        for (lo, hi), s, im in zip(col_ranges, strides, interior_masks):
-            if hi == lo:
-                const += lo * s
-                iconst = iconst and bool(im[0])
-            else:
-                arrs.append(np.arange(lo, hi + 1) * s)
-                iarrs.append(im)
-        if not arrs:
-            cells = np.array([const], dtype=np.int64)
-        else:
-            acc = arrs[0]
-            for a in arrs[1:]:
-                acc = (acc[:, None] + a[None, :]).ravel()
-            cells = acc + const
-        if not iconst:
-            interior_ok = np.zeros(cells.size, dtype=bool)
-        elif not iarrs:
-            interior_ok = np.ones(cells.size, dtype=bool)
-        else:
-            iacc = iarrs[0]
-            for a in iarrs[1:]:
-                iacc = (iacc[:, None] & a[None, :]).ravel()
-            interior_ok = iacc
-        return cells, interior_ok
 
     def _refine(self, q: Query, cells: np.ndarray, interior_ok: np.ndarray,
                 sort_filtered: bool) -> np.ndarray:
@@ -318,9 +364,9 @@ class FloodIndex(BaseIndex):
     def index_size_bytes(self) -> int:
         """Grid metadata + cell table + per-cell models ("over 95% from the
         models of the sort attribute", §7.4)."""
-        total = self.cell_starts.nbytes if self.cell_starts is not None else 0
-        for m in self.cdfs.values():
-            total += m.keys.nbytes // max(1, m.n // 1024)  # boundary summary
+        if self.grid is None:
+            return 0
+        total = self.cell_starts.nbytes + self.grid.size_bytes()
         for p in self.plms.values():
             total += p.size_bytes()
         return int(total)

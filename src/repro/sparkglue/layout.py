@@ -2,16 +2,20 @@
 
 This is the distributed realization of §3.1 (per the reproduction band:
 "a custom partitioning/sort scheme applied per-partition then scanned via
-DataFrame filters with data skipping"):
+DataFrame filters with data skipping"). Spark uses numpy Flood's own
+:class:`~repro.indexes.flood.Grid`, so both assign every row the same cell
+and project every query onto the same cells:
 
-1. :func:`learn_boundaries` — per grid dimension, equi-mass column
-   boundaries from a sample (the flattening CDF of §5.1 evaluated at
-   k/c_i); skipping flattening yields equal-width boundaries.
+1. :func:`learn_boundaries` — ``Grid.fit`` on a sample collected to the
+   driver: per grid dimension, equi-mass column thresholds under the
+   sample's CDF (§5.1), or equal-width ones without flattening. A sample
+   that holds every row gives numpy Flood's thresholds exactly.
 2. :func:`apply_flood_layout` — a pandas UDF assigns each row its cell id
-   (np.searchsorted against the broadcast boundaries, mixed-radix over
-   grid dims), then ``repartitionByRange(cell_id)`` +
+   with ``Grid.row_cells``, then ``repartitionByRange(cell_id)`` +
    ``sortWithinPartitions(cell_id, sort_dim)`` materializes exactly
    Flood's storage order: cells contiguous, sort-dim ordered within.
+3. :func:`cell_runs_for_query` — ``Grid.project`` on the driver, with the
+   visited cells merged into contiguous cell-id runs.
 
 The resulting DataFrame is clustered on ``cell_id``; range predicates on
 it are pushed into the in-memory columnar scan where batch-level min/max
@@ -21,25 +25,32 @@ DataFrame analogue of Flood's cell table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType
 
-from repro.indexes.flood import Layout
+from repro.indexes.flood import Grid, Layout
 
 CELL_COL = "__flood_cell"
 
 
 @dataclass
 class SparkFloodLayout:
-    """Layout + learned boundaries + the column names they index."""
+    """A learned grid + the column names of its dims."""
 
-    layout: Layout
+    grid: Grid
     dim_cols: list[str]                    # dataframe column per dim index
-    boundaries: dict[int, np.ndarray]      # grid dim -> ascending thresholds
+
+    @property
+    def layout(self) -> Layout:
+        return self.grid.layout
+
+    @property
+    def boundaries(self) -> dict[int, np.ndarray]:
+        """Grid dim -> ascending column thresholds."""
+        return self.grid.thresholds
 
     @property
     def sort_col(self) -> str:
@@ -48,42 +59,29 @@ class SparkFloodLayout:
 
 def learn_boundaries(df: DataFrame, layout: Layout, dim_cols: list[str],
                      sample_rows: int = 50_000, seed: int = 0) -> SparkFloodLayout:
-    """Equi-mass (flattened) or equal-width column boundaries per grid dim."""
+    """Fit the grid on a sample of about ``sample_rows`` rows (every row
+    when the DataFrame has no more)."""
     n = df.count()
     frac = min(1.0, sample_rows / max(n, 1))
-    sample = df.select(*dim_cols).sample(frac, seed=seed).toPandas()
-    boundaries: dict[int, np.ndarray] = {}
-    for dim, c in zip(layout.grid_dims, layout.cols):
-        col = sample[dim_cols[dim]].to_numpy(dtype=np.float64)
-        if layout.flatten:
-            qs = np.arange(1, c) / c
-            b = np.quantile(col, qs) if c > 1 else np.empty(0)
-        else:
-            lo, hi = col.min(), col.max()
-            b = lo + (hi - lo) * np.arange(1, c) / c
-        boundaries[dim] = np.asarray(b, dtype=np.float64)
-    return SparkFloodLayout(layout=layout, dim_cols=dim_cols, boundaries=boundaries)
+    sample = df.select(*dim_cols)
+    if frac < 1.0:
+        sample = sample.sample(frac, seed=seed)
+    data = sample.toPandas().to_numpy(dtype=np.float64)
+    return SparkFloodLayout(grid=Grid.fit(layout, data), dim_cols=dim_cols)
 
 
 def cell_id_expr(sfl: SparkFloodLayout):
-    """Pandas UDF computing each row's mixed-radix cell id."""
+    """Pandas UDF computing each row's row-major cell id."""
     from pyspark.sql.functions import pandas_udf
 
-    layout, boundaries = sfl.layout, sfl.boundaries
-    grid_dims, cols = list(layout.grid_dims), list(layout.cols)
-    bounds = [boundaries[dm] for dm in grid_dims]
+    # captures only numpy arrays: Spark's Python workers need not import repro
+    cells = sfl.grid.row_cells()
 
     @pandas_udf(LongType())
     def _cell(*series: pd.Series) -> pd.Series:
-        ids = np.zeros(len(series[0]), dtype=np.int64)
-        stride = 1
-        for s, b, c in zip(reversed(series), reversed(bounds), reversed(cols)):
-            col_idx = np.searchsorted(b, s.to_numpy(dtype=np.float64), side="right")
-            ids += np.clip(col_idx, 0, c - 1) * stride
-            stride *= c
-        return pd.Series(ids)
+        return pd.Series(cells(*(s.to_numpy(dtype=np.float64) for s in series)))
 
-    return _cell(*[F.col(sfl.dim_cols[dm]) for dm in grid_dims])
+    return _cell(*[F.col(sfl.dim_cols[dm]) for dm in sfl.layout.grid_dims])
 
 
 def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
@@ -106,34 +104,17 @@ def apply_flood_layout(df: DataFrame, sfl: SparkFloodLayout,
 def cell_runs_for_query(sfl: SparkFloodLayout,
                         bounds: dict[str, tuple[float, float]]) -> list[tuple[int, int]]:
     """Projection (§3.2.1) on the driver: contiguous [lo, hi] cell-id runs
-    intersecting the query rectangle. ``bounds`` maps column name -> range."""
-    layout, boundaries = sfl.layout, sfl.boundaries
-    per_dim: list[np.ndarray] = []
-    for dim, c in zip(layout.grid_dims, layout.cols):
-        name = sfl.dim_cols[dim]
+    intersecting the query rectangle. ``bounds`` maps column name -> range;
+    columns outside the layout are left to the residual filter."""
+    ranges = np.full((len(sfl.dim_cols), 2), [-np.inf, np.inf])
+    for dim, name in enumerate(sfl.dim_cols):
         if name in bounds:
-            lo, hi = bounds[name]
-            b = boundaries[dim]
-            clo = int(np.clip(np.searchsorted(b, lo, side="right"), 0, c - 1))
-            chi = int(np.clip(np.searchsorted(b, hi, side="right"), 0, c - 1))
-            per_dim.append(np.arange(clo, chi + 1))
-        else:
-            per_dim.append(np.arange(c))
-    if not per_dim:
-        return [(0, 0)]
-    strides = np.ones(len(per_dim), dtype=np.int64)
-    for i in range(len(per_dim) - 2, -1, -1):
-        strides[i] = strides[i + 1] * layout.cols[i + 1]
-    mesh = np.meshgrid(*[g * s for g, s in zip(per_dim, strides)], indexing="ij")
-    cells = np.sort(np.asarray(sum(mesh)).ravel())
-    runs: list[tuple[int, int]] = []
-    run_s = prev = int(cells[0])
-    for cid in cells[1:]:
-        cid = int(cid)
-        if cid == prev + 1:
-            prev = cid
-            continue
-        runs.append((run_s, prev))
-        run_s = prev = cid
-    runs.append((run_s, prev))
-    return runs
+            ranges[dim] = bounds[name]
+    cells, _ = sfl.grid.project(ranges)
+    if not cells.size:
+        return []
+    # cells ascend, so a run breaks wherever the next id is not one more
+    brk = np.diff(cells) != 1
+    starts = cells[np.concatenate(([True], brk))]
+    ends = cells[np.concatenate((brk, [True]))]
+    return list(zip(starts.tolist(), ends.tolist()))

@@ -115,6 +115,32 @@ def test_empty_result(built, name):
     assert r.value == 0 and r.n_matched == 0
 
 
+@pytest.mark.parametrize("dim", range(D))
+@pytest.mark.parametrize("lo, hi", [(np.inf, 50.0), (60.0, 40.0), (50.0, -np.inf)])
+@pytest.mark.parametrize("name", list(_factories()))
+def test_inverted_bounds_match_nothing(built, name, dim, lo, hi):
+    """A filtered dim with lo > hi matches nothing, as in Query.mask, even
+    when one side is infinite; every dim is some index's clustered, sort
+    or grid dim."""
+    data, indexes = built["uniform"]
+    for agg in ("count", AGG_SUM):
+        r = indexes[name].query(query_from_dict(D, {dim: (lo, hi)}, agg=agg))
+        assert r.value == r.n_matched == r.n_scanned == 0, name
+
+
+@pytest.mark.parametrize("name", list(_factories()))
+def test_query_dims_checked(built, name):
+    _, indexes = built["uniform"]
+    with pytest.raises(ValueError, match="query dims 3 != index dims 4"):
+        indexes[name].query(query_from_dict(3, {0: (1.0, 2.0)}))
+
+
+@pytest.mark.parametrize("name", list(_factories()))
+def test_empty_input_rejected(name):
+    with pytest.raises(ValueError, match="no rows"):
+        _factories()[name]().build(np.empty((0, D)))
+
+
 @pytest.mark.parametrize("name", list(_factories()))
 def test_index_size_reported(built, name):
     _, indexes = built["uniform"]

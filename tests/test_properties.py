@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.plm import PLM
 from repro.core.query import AGG_SUM, Query, query_from_dict
 from repro.core.rmi import RMI
-from repro.indexes.flood import FloodIndex, Layout
+from repro.indexes.flood import FloodIndex, Grid, Layout
 from repro.indexes.kdtree import KDTree
 from repro.indexes.zorder import ZOrderIndex
 
@@ -96,6 +96,43 @@ def test_flood_refinement_edges_match_brute_force(case):
         assert r.value == m.sum()
     assert r.n_exact <= r.n_scanned
     assert r.n_matched <= r.n_scanned <= data.shape[0]
+
+
+@st.composite
+def grid_column(draw):
+    """One flattened grid dimension with c columns over keys with heavy
+    duplicates, a constant column, or spread values; probes at every key
+    and at both float neighbours of it."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["spread", "duplicates", "constant"]))
+    if kind == "spread":
+        keys = rng.lognormal(0, 3, n) * draw(st.sampled_from([1e-300, 1.0, 1e100]))
+    elif kind == "duplicates":
+        keys = rng.integers(0, draw(st.integers(1, 20)), n).astype(float)
+    else:
+        keys = np.full(n, draw(st.floats(-1e6, 1e6)))
+    c = draw(st.integers(1, 300))
+    probes = np.concatenate((keys, np.nextafter(keys, -np.inf),
+                             np.nextafter(keys, np.inf), [-np.inf, np.inf]))
+    return keys, c, probes
+
+
+@given(grid_column())
+@settings(max_examples=200, deadline=None)
+def test_grid_threshold_column_equals_cdf_column(case):
+    """A value's column from the c − 1 thresholds (how rows are laid out)
+    is its column under the flattening CDF, int(cdf(v)·c) capped at c − 1
+    (how query endpoints are mapped)."""
+    keys, c, probes = case
+    grid = Grid.fit(Layout(order=[0, 1], cols=[c]), np.column_stack((keys, keys)))
+    assert grid.thresholds[0].shape == (c - 1,)
+    want = np.minimum((grid.cdfs[0].cdf(probes) * c).astype(np.int64), c - 1)
+    assert np.array_equal(grid.row_cells()(probes), want)
+    point = np.array([[0.0, 0.0], [-np.inf, np.inf]])
+    for v, col in zip(probes[np.isfinite(probes)], want[np.isfinite(probes)]):
+        point[0] = v
+        assert grid.project(point)[0].tolist() == [col]
 
 
 @given(dataset_and_query())
